@@ -12,6 +12,7 @@ package tango
 // paper-vs-measured comparison.
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -310,10 +311,13 @@ func BenchmarkFigure12(b *testing.B) {
 // timeout churn, TE re-allocation rounds, a link-failure storm, and size
 // inference running concurrently, with epoch barriers keeping the outcome
 // bit-identical to a serial run (TestScaleShardedDifferential). Headline
-// metrics: resident flows, discrete events per wall second, and the p99
-// emulated probe RTT.
+// metrics: resident flows, discrete events per wall second, the p99
+// emulated probe RTT, and the bytes allocated per resident rule (B/op over
+// the resident flows — machine-independent, so CI gates it).
 func BenchmarkScaleHarness(b *testing.B) {
 	var res *scale.Result
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		r, err := scale.Run(scale.Options{Seed: 1})
 		if err != nil {
@@ -327,7 +331,9 @@ func BenchmarkScaleHarness(b *testing.B) {
 		}
 		res = r
 	}
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(res.FlowsResident), "flows-resident")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(res.FlowsResident), "alloc-bytes/rule")
 	b.ReportMetric(res.EventsPerSec, "events/sec")
 	b.ReportMetric(float64(res.P99ProbeRTT)/float64(time.Millisecond), "p99-probe-rtt-ms")
 	b.ReportMetric(float64(res.TableFull), "table-full")

@@ -42,12 +42,28 @@ func (o CostOptions) withDefaults() CostOptions {
 //   - modify and delete sweeps    → Mod, Del
 //
 // All rules are installed under a dedicated flow-ID block and removed
-// afterwards. The card is the scheduler's cost oracle; its quality is what
-// turns "Tango patterns" into installation-time wins (§6, §7).
+// afterwards, also when a phase fails part-way. The card is the scheduler's
+// cost oracle; its quality is what turns "Tango patterns" into
+// installation-time wins (§6, §7).
 func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*pattern.ScoreCard, error) {
 	opts = opts.withDefaults()
 	n := opts.Samples
 	card := &pattern.ScoreCard{SwitchName: switchName, PriorityCurves: map[pattern.Order][]pattern.CurvePoint{}}
+
+	// adds collects every add phase built so far; fail deletes their rules
+	// (absent ones are no-op deletes), so an error leaves no probe rule of
+	// the block behind.
+	var adds [][]pattern.Op
+	fail := func(err error) (*pattern.ScoreCard, error) {
+		for _, ops := range adds {
+			for _, op := range ops {
+				if op.Kind == pattern.OpAdd {
+					_ = e.Delete(op.FlowID, op.Priority)
+				}
+			}
+		}
+		return nil, err
+	}
 
 	// Phase 1: same-priority adds.
 	base := opts.FlowIDBase
@@ -55,9 +71,10 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	for i := range sameOps {
 		sameOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: opts.BasePriority}
 	}
+	adds = append(adds, sameOps)
 	res, err := e.Run(pattern.Pattern{Name: "cost/same", Ops: sameOps})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	// Skip the first op: it may pay the new-priority-band cost.
 	card.AddSamePriority = meanLatency(res.Ops[1:])
@@ -68,7 +85,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 		modOps[i] = pattern.Op{Kind: pattern.OpMod, FlowID: base + uint32(i), Priority: opts.BasePriority}
 	}
 	if res, err = e.Run(pattern.Pattern{Name: "cost/mod", Ops: modOps}); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	card.Mod = meanLatency(res.Ops)
 
@@ -78,7 +95,7 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 		delOps[i] = pattern.Op{Kind: pattern.OpDel, FlowID: base + uint32(i), Priority: opts.BasePriority}
 	}
 	if res, err = e.Run(pattern.Pattern{Name: "cost/del", Ops: delOps}); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	card.Del = meanLatency(res.Ops)
 
@@ -90,8 +107,9 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	for i := range ascOps {
 		ascOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: opts.BasePriority + 1 + uint16(i)}
 	}
+	adds = append(adds, ascOps)
 	if res, err = e.Run(pattern.Pattern{Name: "cost/asc", Ops: ascOps}); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	card.AddNewPriority = meanLatency(res.Ops)
 	for i := range ascOps {
@@ -105,8 +123,9 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 	for i := range descOps {
 		descOps[i] = pattern.Op{Kind: pattern.OpAdd, FlowID: base + uint32(i), Priority: opts.BasePriority - 1 - uint16(i)}
 	}
+	adds = append(adds, descOps)
 	if res, err = e.Run(pattern.Pattern{Name: "cost/desc", Ops: descOps}); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	xs := make([]float64, len(res.Ops))
 	ys := make([]float64, len(res.Ops))
@@ -131,8 +150,9 @@ func MeasureCosts(e *probe.Engine, switchName string, opts CostOptions) (*patter
 			pattern.Op{Kind: pattern.OpDel, FlowID: base + uint32(i), Priority: opts.BasePriority},
 		)
 	}
+	adds = append(adds, altOps)
 	if res, err = e.Run(pattern.Pattern{Name: "cost/alternate", Ops: altOps}); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	perOp := meanLatency(res.Ops[1:])
 	flat := (card.AddSamePriority + card.Del) / 2

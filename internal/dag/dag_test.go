@@ -7,6 +7,22 @@ import (
 	"testing/quick"
 )
 
+// IndependentSet returns all live nodes with no live predecessors, in
+// ascending ID order, by scanning the whole graph — the reference the
+// incremental Frontier is checked against.
+func (g *Graph[T]) IndependentSet() []NodeID {
+	var out []NodeID
+	for i := range g.payload {
+		if g.removed[i] {
+			continue
+		}
+		if len(g.Predecessors(NodeID(i))) == 0 {
+			out = append(out, NodeID(i))
+		}
+	}
+	return out
+}
+
 // paperExample builds the DAG of Figure 7: nine requests A–J (no D) where
 // C→B→A, F→E, G→F(?) ... The figure's exact edge set is: B→A? The paper says
 // requests A, E, H, I are independent with equal longest-path length. We

@@ -390,6 +390,9 @@ func (r *runner) runMember(m *member, round int) {
 		})
 		if err != nil {
 			m.errs++
+			// A failed round may leave any prefix of its block installed;
+			// clear all of it so the member returns to baseline.
+			m.eng.ClearProbeRules(base, uint32(r.o.MaxRules), probePriority)
 		} else {
 			m.infers++
 			m.levels = len(res.Levels)

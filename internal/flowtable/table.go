@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"tango/internal/packet"
@@ -93,21 +94,14 @@ type Table struct {
 	// (the shape every probe rule has), keyed by the two addresses packed
 	// into one uint64. Lookups check the index plus the small residue of
 	// non-indexable rules, which keeps probing workloads — tens of thousands
-	// of packets against thousands of rules — linear instead of quadratic,
-	// and the integer key hashes several times faster than a struct of two
-	// netip.Addr (which dominated lookup profiles). wild holds the
-	// non-indexable rules in table order.
-	exact map[uint64]exactBucket
+	// of packets against thousands of rules — linear instead of quadratic.
+	// exact holds one rule per key; dups holds the rare further rules sharing
+	// a resident key (same address pair, another priority or port) and stays
+	// nil until the first one. wild holds the non-indexable rules in table
+	// order.
+	exact KeyIndex[*Rule]
+	dups  map[uint64][]*Rule
 	wild  []*Rule
-}
-
-// exactBucket holds the rules sharing one exact-index key. The first rule is
-// inline: almost every key maps to exactly one rule, and keeping that rule
-// out of a slice saves a heap allocation per insert — which bulk probing
-// workloads pay tens of thousands of times.
-type exactBucket struct {
-	one  *Rule
-	more []*Rule
 }
 
 // packAddrs packs two IPv4 addresses into the exact-index key. ok is false
@@ -160,29 +154,24 @@ func (t *Table) WildSingleton() *Rule {
 	return nil
 }
 
-// indexKey is the internal alias for ExactKey.
-func indexKey(m *Match) (uint64, bool) { return ExactKey(m) }
-
 // indexInsert registers r in the lookup acceleration structures.
 func (t *Table) indexInsert(r *Rule) {
-	if k, ok := indexKey(&r.Match); ok {
-		if t.exact == nil {
-			// Capacity-bounded tables fill right up in probing workloads;
-			// pre-sizing skips the incremental rehashes on the way there.
-			// "Virtually unlimited" tables are capped — they never fill.
-			hint := t.Capacity
-			if hint > 2048 {
-				hint = 2048
+	if k, ok := ExactKey(&r.Match); ok {
+		if t.exact.Get(k) == nil {
+			if t.exact.Cap() == 0 {
+				// Capacity-bounded tables fill right up in probing workloads;
+				// pre-sizing skips the incremental rehashes on the way
+				// there. "Virtually unlimited" tables are capped — they
+				// never fill.
+				t.exact.Init(min(t.Capacity, 2048))
 			}
-			t.exact = make(map[uint64]exactBucket, hint)
+			t.exact.Put(k, r)
+			return
 		}
-		b := t.exact[k]
-		if b.one == nil {
-			b.one = r
-		} else {
-			b.more = append(b.more, r)
+		if t.dups == nil {
+			t.dups = make(map[uint64][]*Rule)
 		}
-		t.exact[k] = b
+		t.dups[k] = append(t.dups[k], r)
 		return
 	}
 	// Maintain wild in table order: descending priority, FIFO within equal.
@@ -192,25 +181,25 @@ func (t *Table) indexInsert(r *Rule) {
 	t.wild[pos] = r
 }
 
-// indexRemove unregisters r.
+// indexRemove unregisters r. When r heads its key and has duplicates, the
+// last duplicate takes its place in the index.
 func (t *Table) indexRemove(r *Rule) {
-	if k, ok := indexKey(&r.Match); ok {
-		b := t.exact[k]
-		if b.one == r {
-			if n := len(b.more); n > 0 {
-				b.one, b.more = b.more[n-1], b.more[:n-1]
-				t.exact[k] = b
-			} else {
-				delete(t.exact, k)
-			}
-			return
-		}
-		for i, rr := range b.more {
-			if rr == r {
-				b.more = append(b.more[:i], b.more[i+1:]...)
-				t.exact[k] = b
+	if k, ok := ExactKey(&r.Match); ok {
+		more := t.dups[k]
+		if t.exact.Get(k) == r {
+			if len(more) == 0 {
+				t.exact.Del(k)
 				return
 			}
+			t.exact.Set(k, more[len(more)-1])
+			more = more[:len(more)-1]
+		} else if i := slices.Index(more, r); i >= 0 {
+			more = slices.Delete(more, i, i+1)
+		}
+		if len(more) == 0 {
+			delete(t.dups, k)
+		} else {
+			t.dups[k] = more
 		}
 		return
 	}
@@ -335,12 +324,11 @@ func (t *Table) Insert(r *Rule, now time.Time) (shifted int, err error) {
 // duplicate check every Insert performs touches a handful of rules instead
 // of scanning the table.
 func (t *Table) find(m *Match, priority uint16) *Rule {
-	if k, ok := indexKey(m); ok {
-		b := t.exact[k]
-		if b.one != nil && b.one.Priority == priority && b.one.Match.Same(m) {
-			return b.one
+	if k, ok := ExactKey(m); ok {
+		if r := t.exact.Get(k); r != nil && r.Priority == priority && r.Match.Same(m) {
+			return r
 		}
-		for _, r := range b.more {
+		for _, r := range t.dups[k] {
 			if r.Priority == priority && r.Match.Same(m) {
 				return r
 			}
@@ -423,13 +411,12 @@ func (t *Table) Remove(target *Rule) bool {
 // priority-ordered scan of the full table would.
 func (t *Table) Lookup(f *packet.Frame, inPort uint16) *Rule {
 	var best *Rule
-	if f.HasIPv4 {
-		if k, ok := packAddrs(f.IP.Src, f.IP.Dst); ok {
-			b := t.exact[k]
-			if b.one != nil && b.one.Match.Matches(f, inPort) {
-				best = b.one
-			}
-			for _, r := range b.more {
+	if k, ok := FrameKey(f); ok {
+		if r := t.exact.Get(k); r != nil && r.Match.Matches(f, inPort) {
+			best = r
+		}
+		if len(t.dups) > 0 {
+			for _, r := range t.dups[k] {
 				if !r.Match.Matches(f, inPort) {
 					continue
 				}
@@ -480,9 +467,12 @@ func (t *Table) Validate() error {
 			return fmt.Errorf("flowtable: wild index order violated at %d", i)
 		}
 	}
-	indexed := len(t.wild)
-	for _, b := range t.exact {
-		indexed += 1 + len(b.more)
+	indexed := len(t.wild) + t.exact.Len()
+	for k, more := range t.dups {
+		if len(more) == 0 || t.exact.Get(k) == nil {
+			return fmt.Errorf("flowtable: duplicate list for key %#x without a resident head", k)
+		}
+		indexed += len(more)
 	}
 	if indexed != len(t.rules) {
 		return fmt.Errorf("flowtable: index holds %d rules, table %d", indexed, len(t.rules))

@@ -2,32 +2,53 @@ package switchsim
 
 import "tango/internal/flowtable"
 
-// arena.go is the flat entry arena: every tracked rule's bookkeeping record
-// lives in one contiguous []entry slice, addressed by int32 handles instead
-// of pointers. Handle 0 is reserved ("no entry"), so the zero value of
-// flowtable.Rule.Ext means untracked. Freed slots go on a free list and are
-// reused by later adds — across delete, timeout expiry, and Reset — so a
+// arena.go is the paged entry arena: every tracked rule's bookkeeping
+// record lives in fixed-size pages of entries, addressed by int32 handles
+// instead of pointers. Handle 0 is reserved ("no entry"), so the zero value
+// of flowtable.Rule.Ext means untracked. Freed slots go on a free list and
+// are reused by later adds — across delete, timeout expiry, and Reset — so a
 // long-running switch's arena footprint is bounded by its peak live rule
 // count, not its cumulative churn.
 //
 // The payoff is cache locality on the two profiled hot paths:
 //
 //   - classifyExact resolves frame-key → handle through an open-addressing
-//     table (keyindex.go) and lands directly on the flat record, replacing
-//     the byKey map probe that dominated SizeInference profiles;
+//     table (flowtable.KeyIndex) and lands directly on the record;
 //   - the eviction/promotion heaps (evictindex.go) become []int32 of
 //     handles, so sifts write only integers — no GC pointer-write barriers,
 //     which dominated allocation-phase samples during demote churn.
 //
-// Entry pointers (*entry) are views into the arena: they stay valid between
-// allocArena calls (the only operation that can grow the slice) and must
-// never be retained across one. Everything that outlives an operation is a
-// handle.
+// Growth adds a page and never moves one: it copies nothing, leaves no
+// garbage, and an *entry stays valid while its slot is allocated.
 
 // ruleSlabSize is the rule-slab allocation unit. Rules need stable addresses
 // (flow tables hold *Rule), so they are slab-allocated — slabs are never
 // reallocated, only retired to a pool on Reset.
 const ruleSlabSize = 256
+
+// Arena pages hold 256 entries: 256 × 56 B is exactly one 14 KiB allocation
+// size class, so pages waste no tail bytes and a small switch pays for one.
+const (
+	entryPageShift = 8
+	entryPageSize  = 1 << entryPageShift
+	entryPageMask  = entryPageSize - 1
+)
+
+// entryPage is one arena page.
+type entryPage [entryPageSize]entry
+
+// entryArena is the paged entry store: handle h lives in slot
+// h&entryPageMask of page h>>entryPageShift.
+type entryArena struct {
+	pages []*entryPage
+	// n counts the slots handed out so far, the reserved slot 0 included.
+	n int32
+}
+
+// at resolves an allocated handle to its record without validity checks.
+func (a *entryArena) at(h int32) *entry {
+	return &a.pages[uint32(h)>>entryPageShift][uint32(h)&entryPageMask]
+}
 
 // noHeap is the heapIdx sentinel for "in neither heap".
 const noHeap int32 = -1
@@ -35,10 +56,10 @@ const noHeap int32 = -1
 // entryAt resolves a handle to its arena record. Handle 0 and out-of-range
 // or freed handles resolve to nil.
 func (s *Switch) entryAt(h int32) *entry {
-	if h <= 0 || int(h) >= len(s.entries) {
+	if h <= 0 || h >= s.arena.n {
 		return nil
 	}
-	if e := &s.entries[h]; e.self == h {
+	if e := s.arena.at(h); e.self == h {
 		return e
 	}
 	// Freed slots zero their self field, so a stale handle — one recorded
@@ -54,36 +75,39 @@ func (s *Switch) entryOf(r *flowtable.Rule) *entry {
 }
 
 // allocEntry hands out a fresh arena record, reusing a free-listed slot when
-// one exists and growing the arena otherwise. The returned pointer is valid
-// until the next allocEntry call.
+// one exists and opening a new one otherwise; a microflow switch's
+// kernel-key lists grow with the arena.
 func (s *Switch) allocEntry() (int32, *entry) {
+	var h int32
 	if n := len(s.freeEnts); n > 0 {
-		h := s.freeEnts[n-1]
+		h = s.freeEnts[n-1]
 		s.freeEnts = s.freeEnts[:n-1]
-		e := &s.entries[h]
-		kk := e.kernelKeys[:0] // slot reuse keeps the key slice's capacity
-		*e = entry{kernelKeys: kk, self: h, heapIdx: noHeap, timedIdx: noTimed}
-		return h, e
+	} else {
+		if s.arena.n == 0 {
+			s.arena.n = 1 // slot 0 is the reserved nil handle
+		}
+		h = s.arena.n
+		if int(h>>entryPageShift) == len(s.arena.pages) {
+			s.arena.pages = append(s.arena.pages, new(entryPage))
+		}
+		s.arena.n++
+		for s.kernel != nil && len(s.kernelKeys) < int(s.arena.n) {
+			s.kernelKeys = append(s.kernelKeys, nil)
+		}
 	}
-	if s.entries == nil {
-		// Slot 0 is the reserved nil handle.
-		s.entries = make([]entry, 1, 1+ruleSlabSize)
-	}
-	h := int32(len(s.entries))
-	s.entries = append(s.entries, entry{self: h, heapIdx: noHeap, timedIdx: noTimed})
-	return h, &s.entries[h]
+	e := s.arena.at(h)
+	*e = entry{self: h, heapIdx: noHeap, timedIdx: noTimed}
+	return h, e
 }
 
 // freeEntry returns e's slot to the free list. The slot's self field is
-// zeroed so stale handles fail entryAt's identity check; the kernel-key
-// slice keeps its capacity for the slot's next tenant. Timed entries
+// zeroed so stale handles fail entryAt's identity check. Timed entries
 // swap-remove themselves from the expiry list first, keeping the invariant
 // that timedEnts holds only live handles.
 func (s *Switch) freeEntry(e *entry) {
 	s.untimeEntry(e)
 	h := e.self
-	kk := e.kernelKeys[:0]
-	*e = entry{kernelKeys: kk}
+	*e = entry{}
 	s.freeEnts = append(s.freeEnts, h)
 }
 
@@ -126,25 +150,16 @@ func (s *Switch) freeRule(r *flowtable.Rule) {
 func (s *Switch) resetArena() {
 	s.timedEnts = s.timedEnts[:0]
 	s.freeEnts = s.freeEnts[:0]
-	for i := len(s.entries) - 1; i >= 1; i-- {
-		e := &s.entries[i]
-		kk := e.kernelKeys[:0]
-		*e = entry{kernelKeys: kk}
-		s.freeEnts = append(s.freeEnts, int32(i))
+	for h := s.arena.n - 1; h >= 1; h-- {
+		*s.arena.at(h) = entry{}
+		s.freeEnts = append(s.freeEnts, h)
+	}
+	for h, kk := range s.kernelKeys {
+		s.kernelKeys[h] = kk[:0]
 	}
 	s.freeRules = s.freeRules[:0]
 	s.slabPool = append(s.slabPool, s.liveSlabs...)
 	s.liveSlabs = s.liveSlabs[:0]
 	s.ruleChunk = nil
 	s.ruleUsed = 0
-}
-
-// arenaLive counts live (allocated) arena records; tests use it to assert
-// free-list reuse.
-func (s *Switch) arenaLive() int {
-	n := len(s.entries)
-	if n > 0 {
-		n--
-	}
-	return n - len(s.freeEnts)
 }

@@ -10,6 +10,12 @@ import (
 	"tango/internal/simclock"
 )
 
+// arenaLive counts live (allocated) arena records; tests use it to assert
+// free-list reuse.
+func (s *Switch) arenaLive() int {
+	return int(max(s.arena.n-1, 0)) - len(s.freeEnts)
+}
+
 // trackedRule returns the bookkeeping rule for flow id, or nil.
 func trackedRule(s *Switch, id uint32) *flowtable.Rule {
 	want := flowtable.ExactProbeMatch(id)
@@ -79,16 +85,16 @@ func TestArenaHandleReuseAfterExpiry(t *testing.T) {
 }
 
 // TestArenaGrowthMidChurn exhausts the free list while entry pointers are
-// live in neither heap nor index, forcing arena growth (slice
-// reallocation) between adds, then verifies all handles still resolve to
-// the right rules — the property that makes handles, not pointers, the
-// durable reference.
+// live in neither heap nor index, forcing arena growth (new pages) between
+// adds, then verifies all handles still resolve to the right rules and that
+// growth never moved a record.
 func TestArenaGrowthMidChurn(t *testing.T) {
 	p := TestSwitch(64, PolicyLRU)
 	p.SoftwareCapacity = 1024
 	s := New(p)
 	rng := rand.New(rand.NewSource(7))
 	live := map[uint32]int32{}
+	addrs := map[uint32]*entry{}
 	nextID := uint32(0)
 	for step := 0; step < 2000; step++ {
 		if rng.Intn(3) > 0 || len(live) == 0 {
@@ -98,6 +104,7 @@ func TestArenaGrowthMidChurn(t *testing.T) {
 				continue
 			}
 			live[id] = trackedRule(s, id).Ext
+			addrs[id] = s.entryAt(live[id])
 		} else {
 			var id uint32
 			for id = range live {
@@ -112,15 +119,19 @@ func TestArenaGrowthMidChurn(t *testing.T) {
 				t.Fatalf("deleted flow %d handle still resolves", id)
 			}
 			delete(live, id)
+			delete(addrs, id)
 		}
 	}
-	if len(s.entries) <= 1+ruleSlabSize {
-		t.Fatalf("arena never grew past its first slab (%d slots); churn too small", len(s.entries))
+	if len(s.arena.pages) < 2 {
+		t.Fatalf("arena never grew past its first page (%d slots); churn too small", s.arena.n)
 	}
 	for id, h := range live {
 		e := s.entryAt(h)
 		if e == nil {
 			t.Fatalf("live flow %d lost its arena record", id)
+		}
+		if e != addrs[id] {
+			t.Fatalf("flow %d's record moved when the arena grew", id)
 		}
 		if e.rule.Match != flowtable.ExactProbeMatch(id) {
 			t.Fatalf("handle %d resolves to the wrong rule", h)
@@ -132,8 +143,8 @@ func TestArenaGrowthMidChurn(t *testing.T) {
 }
 
 // TestResetReusesArena is the pooling contract for Reset(): the entry
-// arena's backing array, the rule slabs, and the per-slot kernel-key
-// slices must all survive a Reset and be reused by the next generation of
+// arena's pages, the rule slabs, and the per-slot kernel-key slices must
+// all survive a Reset and be reused by the next generation of
 // rules — a fleet resetting switches between inference rounds must not
 // leak one arena per round.
 func TestResetReusesArena(t *testing.T) {
@@ -146,9 +157,9 @@ func TestResetReusesArena(t *testing.T) {
 	sendProbe(t, s, 3)
 	var kkHandle int32
 	var kkCap int
-	for h := int32(1); int(h) < len(s.entries); h++ {
-		if e := s.entryAt(h); e != nil && cap(e.kernelKeys) > 0 {
-			kkHandle, kkCap = h, cap(e.kernelKeys)
+	for h, kk := range s.kernelKeys {
+		if cap(kk) > 0 && s.entryAt(int32(h)) != nil {
+			kkHandle, kkCap = int32(h), cap(kk)
 			break
 		}
 	}
@@ -156,8 +167,7 @@ func TestResetReusesArena(t *testing.T) {
 		t.Fatal("no arena slot acquired a kernel-key slice")
 	}
 
-	entryCap := cap(s.entries)
-	entryBase := &s.entries[0]
+	pages := append([]*entryPage(nil), s.arena.pages...)
 	slabBase := &s.liveSlabs[0][0]
 
 	s.Reset()
@@ -168,13 +178,13 @@ func TestResetReusesArena(t *testing.T) {
 	for id := uint32(0); id < n; id++ {
 		addFlow(t, s, id, 100)
 	}
-	if &s.entries[0] != entryBase || cap(s.entries) != entryCap {
+	if len(s.arena.pages) != len(pages) || s.arena.pages[0] != pages[0] {
 		t.Fatal("Reset reallocated the entry arena instead of reusing it")
 	}
 	if &s.liveSlabs[0][0] != slabBase {
 		t.Fatal("Reset did not recycle the rule slab through the pool")
 	}
-	if got := cap(s.entries[kkHandle].kernelKeys); got != kkCap {
+	if got := cap(s.kernelKeys[kkHandle]); got != kkCap {
 		t.Fatalf("kernel-key slice capacity not retained across Reset: %d, want %d", got, kkCap)
 	}
 	// Handles are handed back in ascending order after Reset, keeping
@@ -194,7 +204,7 @@ func TestResetReusesArena(t *testing.T) {
 func collidingKeys(mask uint64, home uint64, n int) []uint64 {
 	keys := make([]uint64, 0, n)
 	for k := uint64(1); len(keys) < n; k++ {
-		if hashKey(k)&mask == home {
+		if flowtable.HashKey(k)&mask == home {
 			keys = append(keys, k)
 		}
 	}
@@ -203,31 +213,31 @@ func collidingKeys(mask uint64, home uint64, n int) []uint64 {
 
 // checkExact verifies that every key in want resolves to its handle and
 // that every key in gone resolves to 0.
-func checkExact(t *testing.T, x *exactIndex, want map[uint64]int32, gone []uint64) {
+func checkExact(t *testing.T, x *flowtable.KeyIndex[int32], want map[uint64]int32, gone []uint64) {
 	t.Helper()
 	for k, h := range want {
-		if got := x.get(k); got != h {
+		if got := x.Get(k); got != h {
 			t.Fatalf("get(%#x) = %d, want %d", k, got, h)
 		}
 	}
 	for _, k := range gone {
-		if got := x.get(k); got != 0 {
+		if got := x.Get(k); got != 0 {
 			t.Fatalf("get(%#x) = %d after delete, want 0", k, got)
 		}
 	}
 }
 
-// TestExactIndexDeletionClustering drives the open-addressing table's
+// TestExactIndexDeletionClustering drives the tracked-rule index's
 // backward-shift deletion through its adversarial shapes: long runs of
 // same-home keys deleted front-first, back-first, and in random order;
 // interleaved chains from adjacent home slots; and a chain that wraps the
 // table boundary. After every single delete, every surviving key must
 // still resolve — the tombstone-free invariant.
 func TestExactIndexDeletionClustering(t *testing.T) {
-	newTable := func() (*exactIndex, uint64) {
-		x := &exactIndex{}
-		x.init(40) // capacity 64: holds 48 keys before growth
-		return x, uint64(len(x.slots) - 1)
+	newTable := func() (*flowtable.KeyIndex[int32], uint64) {
+		x := &flowtable.KeyIndex[int32]{}
+		x.Init(40) // capacity 64: holds 48 keys before growth
+		return x, uint64(x.Cap() - 1)
 	}
 
 	deleteOrders := []struct {
@@ -283,19 +293,19 @@ func TestExactIndexDeletionClustering(t *testing.T) {
 				want := map[uint64]int32{}
 				for i, k := range keys {
 					h := int32(i + 1)
-					x.put(k, h)
+					x.Put(k, h)
 					want[k] = h
 				}
 				checkExact(t, x, want, nil)
 				var gone []uint64
 				for _, i := range ord.order(len(keys), rng) {
-					x.del(keys[i])
+					x.Del(keys[i])
 					delete(want, keys[i])
 					gone = append(gone, keys[i])
 					checkExact(t, x, want, gone)
 				}
-				if x.used != 0 {
-					t.Fatalf("used = %d after deleting everything", x.used)
+				if x.Len() != 0 {
+					t.Fatalf("used = %d after deleting everything", x.Len())
 				}
 			})
 		}
@@ -306,9 +316,9 @@ func TestExactIndexDeletionClustering(t *testing.T) {
 // re-inserts past the growth threshold, checking that growth rehashes
 // chains correctly and that deletion never strands a key.
 func TestExactIndexChurnAndGrow(t *testing.T) {
-	x := &exactIndex{}
-	x.init(0) // start at minimum capacity so growth happens mid-churn
-	startCap := len(x.slots)
+	x := &flowtable.KeyIndex[int32]{}
+	x.Init(0) // start at minimum capacity so growth happens mid-churn
+	startCap := x.Cap()
 	rng := rand.New(rand.NewSource(23))
 	want := map[uint64]int32{}
 	var pool []uint64
@@ -317,9 +327,9 @@ func TestExactIndexChurnAndGrow(t *testing.T) {
 		if rng.Intn(3) > 0 || len(pool) == 0 {
 			k := uint64(rng.Int63())&0xffff + 1 // small space: heavy collisions
 			if _, dup := want[k]; dup {
-				x.set(k, next)
+				x.Set(k, next)
 			} else {
-				x.put(k, next)
+				x.Put(k, next)
 				pool = append(pool, k)
 			}
 			want[k] = next
@@ -328,39 +338,39 @@ func TestExactIndexChurnAndGrow(t *testing.T) {
 			i := rng.Intn(len(pool))
 			k := pool[i]
 			pool = append(pool[:i], pool[i+1:]...)
-			x.del(k)
+			x.Del(k)
 			delete(want, k)
 		}
 	}
-	if len(x.slots) <= startCap {
-		t.Fatalf("table never grew (cap %d); churn too small", len(x.slots))
+	if x.Cap() <= startCap {
+		t.Fatalf("table never grew (cap %d); churn too small", x.Cap())
 	}
-	if x.used != len(want) {
-		t.Fatalf("used = %d, want %d", x.used, len(want))
+	if x.Len() != len(want) {
+		t.Fatalf("used = %d, want %d", x.Len(), len(want))
 	}
 	checkExact(t, x, want, nil)
 }
 
 // TestExactIndexZeroKey pins down the zero-key corner: emptiness is
-// signalled by slots[i]==0 (the nil handle), not keys[i]==0, so the
+// signalled by a zero value (the nil handle), not a zero key, so the
 // all-zero address pair is a perfectly valid key.
 func TestExactIndexZeroKey(t *testing.T) {
-	x := &exactIndex{}
-	x.init(0)
-	x.put(0, 7)
-	if got := x.get(0); got != 7 {
+	x := &flowtable.KeyIndex[int32]{}
+	x.Init(0)
+	x.Put(0, 7)
+	if got := x.Get(0); got != 7 {
 		t.Fatalf("get(0) = %d, want 7", got)
 	}
-	x.set(0, 9)
-	if got := x.get(0); got != 9 {
+	x.Set(0, 9)
+	if got := x.Get(0); got != 9 {
 		t.Fatalf("get(0) = %d after set, want 9", got)
 	}
-	x.del(0)
-	if got := x.get(0); got != 0 {
+	x.Del(0)
+	if got := x.Get(0); got != 0 {
 		t.Fatalf("get(0) = %d after delete, want 0", got)
 	}
-	x.del(0) // deleting an absent key is a no-op
-	if x.used != 0 {
-		t.Fatalf("used = %d, want 0", x.used)
+	x.Del(0) // deleting an absent key is a no-op
+	if x.Len() != 0 {
+		t.Fatalf("used = %d, want 0", x.Len())
 	}
 }

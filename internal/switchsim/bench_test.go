@@ -105,7 +105,7 @@ func classifyExactSwitch(tb testing.TB) (*Switch, *packet.Frame, int) {
 }
 
 // BenchmarkClassifyExact isolates the probe-hit lookup path: frame key →
-// open-addressing index → flat arena entry → TCAM-hit accounting. This is
+// open-addressing index → arena entry → TCAM-hit accounting. This is
 // the per-probe inner loop of every inference sweep.
 func BenchmarkClassifyExact(b *testing.B) {
 	s, f, size := classifyExactSwitch(b)

@@ -26,8 +26,7 @@ package switchsim
 // handleHeap is a binary heap of arena handles with back-pointers in the
 // arena records. first reports whether a must sit closer to the root than b;
 // with a total order the root is the unique extreme element. Every method
-// takes the arena slice explicitly, because the slice header changes when
-// the arena grows.
+// takes the arena explicitly; the heap itself holds only handles.
 type handleHeap struct {
 	items []int32
 	first func(a, b *entry) bool
@@ -40,11 +39,11 @@ func newHandleHeap(first func(a, b *entry) bool) *handleHeap {
 func (h *handleHeap) len() int { return len(h.items) }
 
 // peek returns the root entry, nil when empty.
-func (h *handleHeap) peek(ar []entry) *entry {
+func (h *handleHeap) peek(ar *entryArena) *entry {
 	if len(h.items) == 0 {
 		return nil
 	}
-	return &ar[h.items[0]]
+	return ar.at(h.items[0])
 }
 
 // contains reports whether e currently sits in this heap. Back-pointers are
@@ -55,14 +54,14 @@ func (h *handleHeap) contains(e *entry) bool {
 }
 
 // push adds e to the heap. e must not already be in any heap.
-func (h *handleHeap) push(ar []entry, e *entry) {
+func (h *handleHeap) push(ar *entryArena, e *entry) {
 	e.heapIdx = int32(len(h.items))
 	h.items = append(h.items, e.self)
 	h.up(ar, int(e.heapIdx))
 }
 
 // removeEntry takes e out of the heap, reporting whether it was a member.
-func (h *handleHeap) removeEntry(ar []entry, e *entry) bool {
+func (h *handleHeap) removeEntry(ar *entryArena, e *entry) bool {
 	if !h.contains(e) {
 		return false
 	}
@@ -83,7 +82,7 @@ func (h *handleHeap) removeEntry(ar []entry, e *entry) bool {
 
 // fix restores heap order around e after its attributes changed, reporting
 // whether e was a member.
-func (h *handleHeap) fix(ar []entry, e *entry) bool {
+func (h *handleHeap) fix(ar *entryArena, e *entry) bool {
 	if !h.contains(e) {
 		return false
 	}
@@ -93,17 +92,17 @@ func (h *handleHeap) fix(ar []entry, e *entry) bool {
 	return true
 }
 
-func (h *handleHeap) swap(ar []entry, i, j int) {
+func (h *handleHeap) swap(ar *entryArena, i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	ar[h.items[i]].heapIdx = int32(i)
-	ar[h.items[j]].heapIdx = int32(j)
+	ar.at(h.items[i]).heapIdx = int32(i)
+	ar.at(h.items[j]).heapIdx = int32(j)
 }
 
 // up sifts items[i] toward the root.
-func (h *handleHeap) up(ar []entry, i int) {
+func (h *handleHeap) up(ar *entryArena, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.first(&ar[h.items[i]], &ar[h.items[parent]]) {
+		if !h.first(ar.at(h.items[i]), ar.at(h.items[parent])) {
 			return
 		}
 		h.swap(ar, i, parent)
@@ -112,7 +111,7 @@ func (h *handleHeap) up(ar []entry, i int) {
 }
 
 // down sifts items[i] toward the leaves, reporting whether it moved.
-func (h *handleHeap) down(ar []entry, i int) bool {
+func (h *handleHeap) down(ar *entryArena, i int) bool {
 	moved := false
 	n := len(h.items)
 	for {
@@ -121,10 +120,10 @@ func (h *handleHeap) down(ar []entry, i int) bool {
 			return moved
 		}
 		next := left
-		if right := left + 1; right < n && h.first(&ar[h.items[right]], &ar[h.items[left]]) {
+		if right := left + 1; right < n && h.first(ar.at(h.items[right]), ar.at(h.items[left])) {
 			next = right
 		}
-		if !h.first(&ar[h.items[next]], &ar[h.items[i]]) {
+		if !h.first(ar.at(h.items[next]), ar.at(h.items[i])) {
 			return moved
 		}
 		h.swap(ar, i, next)
@@ -172,7 +171,7 @@ func (s *Switch) trackTCAM(e *entry) {
 	if s.evictIdx == nil {
 		return
 	}
-	s.evictIdx.push(s.entries, e)
+	s.evictIdx.push(&s.arena, e)
 	s.tel.idxPushes.Add(1)
 }
 
@@ -183,7 +182,7 @@ func (s *Switch) trackSoft(e *entry) {
 	if s.promoteIdx == nil || !s.tcamAdmits(e.rule.Match.Width()) {
 		return
 	}
-	s.promoteIdx.push(s.entries, e)
+	s.promoteIdx.push(&s.arena, e)
 	s.tel.idxPushes.Add(1)
 }
 
@@ -192,7 +191,7 @@ func (s *Switch) untrack(e *entry) {
 	if s.evictIdx == nil || e == nil || e.heapIdx < 0 {
 		return
 	}
-	if s.evictIdx.removeEntry(s.entries, e) || s.promoteIdx.removeEntry(s.entries, e) {
+	if s.evictIdx.removeEntry(&s.arena, e) || s.promoteIdx.removeEntry(&s.arena, e) {
 		s.tel.idxRemoves.Add(1)
 	}
 }
@@ -204,7 +203,7 @@ func (s *Switch) indexFix(e *entry) {
 	if !s.dynPolicy || e == nil || e.heapIdx < 0 {
 		return
 	}
-	if s.evictIdx.fix(s.entries, e) || s.promoteIdx.fix(s.entries, e) {
+	if s.evictIdx.fix(&s.arena, e) || s.promoteIdx.fix(&s.arena, e) {
 		s.tel.idxFixups.Add(1)
 	}
 }
@@ -212,7 +211,7 @@ func (s *Switch) indexFix(e *entry) {
 // worstTCAMEntryNaive is the retained reference implementation of victim
 // selection: scan the TCAM residents for the policy-worst. The differential
 // test asserts the index always agrees with it. It compares through
-// s.better — identical to Policy.Worst for compiled LEX policies, and the
+// s.better — the compiled Policy.Better for LEX policies, and the
 // only comparator that can see a custom policy's per-switch state.
 func (s *Switch) worstTCAMEntryNaive() *entry {
 	var worst *entry

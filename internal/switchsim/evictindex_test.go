@@ -79,7 +79,7 @@ func checkIndexes(t *testing.T, s *Switch) {
 	checkArena(t, s)
 }
 
-// checkArena asserts the flat-arena bookkeeping invariants: every tracked
+// checkArena asserts the arena bookkeeping invariants: every tracked
 // rule resolves to a live arena record and vice versa (no leaks, no
 // dangling handles), and every free-listed slot is dead — its zeroed self
 // field makes stale handles resolve to nil.
@@ -105,11 +105,11 @@ func checkArena(t *testing.T, s *Switch) {
 			t.Fatalf("handle %d free-listed twice", h)
 		}
 		onFree[h] = true
-		if h <= 0 || int(h) >= len(s.entries) {
+		if h <= 0 || h >= s.arena.n {
 			t.Fatalf("free list holds out-of-range handle %d", h)
 		}
-		if s.entries[h].self != 0 {
-			t.Fatalf("free slot %d still claims self=%d; stale handles would resolve", h, s.entries[h].self)
+		if self := s.arena.at(h).self; self != 0 {
+			t.Fatalf("free slot %d still claims self=%d; stale handles would resolve", h, self)
 		}
 		if s.entryAt(h) != nil {
 			t.Fatalf("freed handle %d still resolves", h)

@@ -46,7 +46,7 @@ func (s *Switch) untimeEntry(e *entry) {
 	if int(i) != last {
 		moved := s.timedEnts[last]
 		s.timedEnts[i] = moved
-		s.entries[moved].timedIdx = i
+		s.arena.at(moved).timedIdx = i
 	}
 	s.timedEnts = s.timedEnts[:last]
 }
@@ -81,7 +81,7 @@ func (s *Switch) expireLocked(now time.Time) {
 	// are collected first — removeRule below unlinks them via freeEntry, so
 	// mutating during iteration would skip the swapped-in tail handles.
 	for _, h := range s.timedEnts {
-		e := &s.entries[h]
+		e := s.arena.at(h)
 		r := e.rule
 		switch {
 		case r.HardTimeout > 0 && !now.Before(r.InstalledAt.Add(time.Duration(r.HardTimeout)*time.Second)):

@@ -52,22 +52,17 @@ var ErrTableFull = errors.New("switchsim: all tables full")
 // ErrNotFound is returned for modifications/deletions of absent rules.
 var ErrNotFound = errors.New("switchsim: no such rule")
 
-// entry is the emulator's bookkeeping for one installed rule: a flat record
+// entry is the emulator's bookkeeping for one installed rule: a record
 // in the switch's entry arena (arena.go), addressed by its int32 handle.
 // Attribute sequence numbers are global and survive moves between tables,
 // unlike the per-table stamps flowtable keeps. The hot fields the eviction
 // heaps and the exact classifier read are all scalars, so touching them
 // writes no GC-visible pointers.
 type entry struct {
-	rule *flowtable.Rule
-	// kernelKeys records the microflow-cache keys derived from this rule, so
-	// invalidation walks the owner's few keys instead of the whole kernel
-	// table. Keys whose cache slot was since evicted or re-owned are skipped
-	// by an ownership check, so stale keys are harmless.
-	kernelKeys []packet.FiveTuple
-	insertSeq  uint64
-	useSeq     uint64
-	traffic    uint64
+	rule      *flowtable.Rule
+	insertSeq uint64
+	useSeq    uint64
+	traffic   uint64
 	// self is this record's own handle; freed slots zero it, which is what
 	// lets entryAt detect stale handles after free-list reuse.
 	self int32
@@ -75,8 +70,8 @@ type entry struct {
 	// (evictindex.go); -1 while the entry is in neither heap.
 	heapIdx int32
 	// nextKey chains the tracked entries sharing one exact-match key
-	// (duplicate-add phantoms); 0 terminates. The exact index (keyindex.go)
-	// stores only the head handle.
+	// (duplicate-add phantoms); 0 terminates. The exact index stores only the
+	// head handle.
 	nextKey int32
 	// timedIdx is the entry's position in the switch's timed-rule list
 	// (expiry.go); -1 while the rule carries no timeout. Expiry sweeps walk
@@ -140,17 +135,25 @@ type Switch struct {
 
 	events uint64
 
-	// entries is the flat entry arena (arena.go): slot 0 is the reserved nil
+	// arena is the paged entry arena (arena.go): slot 0 is the reserved nil
 	// handle, freeEnts the reusable-slot free list. exact maps every tracked
 	// rule's packed exact-match word to its head handle and wildTracked
 	// holds the non-indexable residue. Together they are the switch's record
 	// of installed rules (including duplicate-add phantoms resident in no
 	// table): flow-mod deletes resolve their victims from one key chain
 	// instead of scanning all tracked rules, and expiry sweeps iterate both.
-	entries     []entry
+	arena       entryArena
 	freeEnts    []int32
-	exact       exactIndex
+	exact       flowtable.KeyIndex[int32]
 	wildTracked []*flowtable.Rule
+
+	// kernelKeys[h] records the microflow-cache keys derived from the rule
+	// with arena handle h, so invalidation walks the owner's few keys
+	// instead of the whole kernel table. Keys whose cache slot was since
+	// evicted or re-owned are skipped by an ownership check, so stale keys
+	// are harmless. Only switches with a kernel cache (ManageMicroflow)
+	// grow this slice, one list per arena slot.
+	kernelKeys [][]packet.FiveTuple
 
 	// timedEnts lists the handles of entries whose rules carry idle/hard
 	// timeouts, in schedule order; expiry sweeps iterate it instead of the
@@ -254,7 +257,11 @@ func New(p Profile, opts ...Option) *Switch {
 		s.software = &flowtable.Table{Capacity: p.softwareCap()}
 		s.kernel = make(map[packet.FiveTuple]kernelEntry)
 	}
-	s.exact.init(s.trackedHint())
+	// Size the exact index for the whole hierarchy up front: probing installs
+	// run straight to capacity, and incremental growth would double the
+	// rehash traffic. "Virtually unlimited" software tables are capped —
+	// they never actually fill.
+	s.exact.Init(min(p.TCAM.CapacityNarrow+p.softwareCap(), 2048))
 	s.initIndexes()
 	// Bind to the process-wide default telemetry (a no-op unless a command
 	// installed one); WithTelemetry overrides it below.
@@ -293,32 +300,20 @@ func (s *Switch) installDefaultRoute() {
 	s.defaultRule = r
 }
 
-// trackedHint sizes the exact index for the full hierarchy up front: probing
-// installs run straight to capacity, and incremental growth would double the
-// rehash traffic. "Virtually unlimited" software tables are capped — they
-// never actually fill.
-func (s *Switch) trackedHint() int {
-	hint := s.profile.TCAM.CapacityNarrow + s.profile.softwareCap()
-	if hint > 2048 {
-		hint = 2048
-	}
-	return hint
-}
-
 // trackRule registers an installed rule in the tracked-rule index. Rules
 // sharing one exact key chain behind the index's head handle in insertion
 // order.
 func (s *Switch) trackRule(r *flowtable.Rule) {
 	if k, ok := flowtable.ExactKey(&r.Match); ok {
 		h := r.Ext
-		head := s.exact.get(k)
+		head := s.exact.Get(k)
 		if head == 0 {
-			s.exact.put(k, h)
+			s.exact.Put(k, h)
 			return
 		}
-		tail := &s.entries[head]
+		tail := s.arena.at(head)
 		for tail.nextKey != 0 {
-			tail = &s.entries[tail.nextKey]
+			tail = s.arena.at(tail.nextKey)
 		}
 		tail.nextKey = h
 		return
@@ -335,18 +330,18 @@ func (s *Switch) untrackRule(r *flowtable.Rule) {
 		if e == nil {
 			return
 		}
-		head := s.exact.get(k)
+		head := s.exact.Get(k)
 		if head == h {
 			if e.nextKey != 0 {
-				s.exact.set(k, e.nextKey)
+				s.exact.Set(k, e.nextKey)
 			} else {
-				s.exact.del(k)
+				s.exact.Del(k)
 			}
 			e.nextKey = 0
 			return
 		}
 		for prev := head; prev != 0; {
-			pe := &s.entries[prev]
+			pe := s.arena.at(prev)
 			if pe.nextKey == h {
 				pe.nextKey = e.nextKey
 				e.nextKey = 0
@@ -368,13 +363,13 @@ func (s *Switch) untrackRule(r *flowtable.Rule) {
 // (index slot order, then chain order, then the wild residue) but otherwise
 // unspecified, as it was when tracking lived in a map.
 func (s *Switch) forEachTracked(fn func(r *flowtable.Rule)) {
-	for _, h := range s.exact.slots {
+	s.exact.Range(func(h int32) {
 		for h != 0 {
-			e := &s.entries[h]
+			e := s.arena.at(h)
 			fn(e.rule)
 			h = e.nextKey
 		}
-	}
+	})
 	for _, r := range s.wildTracked {
 		fn(r)
 	}
@@ -401,7 +396,7 @@ func (s *Switch) Reset() {
 			delete(s.kernel, k)
 		}
 	}
-	s.exact.reset()
+	s.exact.Reset()
 	s.wildTracked = s.wildTracked[:0]
 	s.resetArena()
 	s.initIndexes()
@@ -632,7 +627,7 @@ func (s *Switch) tcamAdmits(w flowtable.Width) bool {
 // reference implementation's full scan (worstTCAMEntryNaive).
 func (s *Switch) worstTCAMEntry() *entry {
 	if s.evictIdx != nil {
-		return s.evictIdx.peek(s.entries)
+		return s.evictIdx.peek(&s.arena)
 	}
 	return s.worstTCAMEntryNaive()
 }
@@ -738,8 +733,8 @@ func (s *Switch) locate(m *flowtable.Match, priority uint16) *flowtable.Rule {
 		}
 	}
 	if k, ok := flowtable.ExactKey(m); ok {
-		for h := s.exact.get(k); h != 0; {
-			e := &s.entries[h]
+		for h := s.exact.Get(k); h != 0; {
+			e := s.arena.at(h)
 			if e.rule.Priority == priority && e.rule.Match.Same(m) {
 				return e.rule
 			}
@@ -778,8 +773,8 @@ func (s *Switch) delete(fm *openflow.FlowMod) error {
 		// the victims all chain behind one exact-index head (same-bucket
 		// keys), which turns the dominant cost of bulk rule churn (a full
 		// tracked-rule scan per delete) into a handful of comparisons.
-		for h := s.exact.get(k); h != 0; {
-			e := &s.entries[h]
+		for h := s.exact.Get(k); h != 0; {
+			e := s.arena.at(h)
 			r := e.rule
 			if strict {
 				if r.Priority == fm.Priority && r.Match.Same(&fm.Match) {
@@ -872,7 +867,7 @@ func (s *Switch) refillTCAM() {
 // the root of the promotion index when one is maintained.
 func (s *Switch) bestSoftwareEntry() *entry {
 	if s.promoteIdx != nil {
-		return s.promoteIdx.peek(s.entries)
+		return s.promoteIdx.peek(&s.arena)
 	}
 	return s.bestSoftwareEntryNaive()
 }
@@ -885,12 +880,12 @@ func (s *Switch) invalidateKernel(r *flowtable.Rule) {
 		return
 	}
 	if e := s.entryOf(r); e != nil {
-		for _, ft := range e.kernelKeys {
+		for _, ft := range s.kernelKeys[e.self] {
 			if ke, ok := s.kernel[ft]; ok && ke.owner == e.self {
 				delete(s.kernel, ft)
 			}
 		}
-		e.kernelKeys = e.kernelKeys[:0]
+		s.kernelKeys[e.self] = s.kernelKeys[e.self][:0]
 		return
 	}
 	for ft, ke := range s.kernel {
@@ -1039,11 +1034,11 @@ func (s *Switch) classifyExact(f *packet.Frame, inPort uint16, size int, now tim
 		// Non-IPv4 frames cannot match exact-indexed rules.
 		return s.punt(), true
 	}
-	h := s.exact.get(k)
+	h := s.exact.Get(k)
 	if h == 0 {
 		return s.punt(), true
 	}
-	e := &s.entries[h]
+	e := s.arena.at(h)
 	if e.nextKey != 0 {
 		// Duplicate-add phantoms chain behind the resident's key; let the
 		// reference path disambiguate.
@@ -1182,7 +1177,7 @@ func (s *Switch) microflowPipeline(f *packet.Frame, inPort uint16, size int, now
 		if ftOK {
 			s.kernel[ft] = kernelEntry{owner: r.Ext, useSeq: s.nextEvent()}
 			if e != nil {
-				e.kernelKeys = append(e.kernelKeys, ft)
+				s.kernelKeys[e.self] = append(s.kernelKeys[e.self], ft)
 			}
 			s.evictKernelIfNeeded()
 		}

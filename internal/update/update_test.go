@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tango/internal/core/pattern"
+	"tango/internal/dag"
 	"tango/internal/topo"
 )
 
@@ -21,14 +22,14 @@ func TestPlanRerouteDependencies(t *testing.T) {
 		t.Fatalf("nodes = %d", g.Len())
 	}
 	// The independent set must contain only the destination-side add.
-	indep := g.IndependentSet()
+	indep := g.Frontier()
 	if len(indep) != 1 || g.Payload(indep[0]).Switch != "y" || g.Payload(indep[0]).Op != pattern.OpAdd {
 		t.Fatalf("independent set = %+v", indep)
 	}
 	// Draining the graph respects add → mod → del order.
 	var order []pattern.OpKind
 	for g.Len() > 0 {
-		for _, id := range g.IndependentSet() {
+		for _, id := range append([]dag.NodeID(nil), g.Frontier()...) {
 			order = append(order, g.Payload(id).Op)
 			if err := g.Remove(id); err != nil {
 				t.Fatal(err)
