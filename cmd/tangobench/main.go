@@ -13,13 +13,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"tango/internal/experiments"
 	"tango/internal/faults"
+	"tango/internal/par"
 	"tango/internal/telemetry"
 )
 
@@ -83,7 +83,7 @@ func catalog(faultSpec string) []experiment {
 		{"churn", "Heavy-churn scenarios (inference under timeout expiry)", tab(experiments.ChurnScenarios)},
 		{"altpolicy", "Non-LEX cache policies (classify-or-reject)", tab(experiments.AltPolicy)},
 		{"scale", "B4-wide sharded scale harness (honours -scale-flows, -scale-shards)", tab(experiments.Scale)},
-		{"fleet", "Continuous-inference fleet service (honours -fleet-switches, -fleet-workers)", tab(experiments.Fleet)},
+		{"fleet", "Continuous-inference fleet service (honours -fleet-switches, -workers)", tab(experiments.Fleet)},
 		{"conformance", "Ground-truth inference conformance harness (honours -faults)", func(int) []fmt.Stringer {
 			t, err := experiments.Conformance(24, 1, faultSpec)
 			if err != nil {
@@ -104,22 +104,18 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		faultSpec  = flag.String("faults", "", `control-channel fault spec for the conformance experiment, e.g. "drop=0.01,delay=0.05,seed=7" (see internal/faults)`)
 		parallel   = flag.Int("parallel", 1, "run up to this many experiments concurrently (0 = GOMAXPROCS); output order is unchanged")
-		schedWork  = flag.Int("sched-workers", 0, "worker pool size for per-switch batches inside the scheduling experiments (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-		inferWork  = flag.Int("infer-workers", 0, "worker pool size for per-profile cells inside the inference experiments (table1, sizeacc, policyacc, reported) (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
+		workers    = flag.Int("workers", 0, "worker pool size inside each experiment: inference cells, conformance specs, scheduler batches, fleet members (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		scaleFlows = flag.Int("scale-flows", 0, "resident-flow target for the scale experiment (0 = harness default, 1<<20)")
 		scaleShard = flag.Int("scale-shards", 0, "shard count for the scale experiment (0 = one shard per B4 site); results are identical at any setting")
 		fleetSw    = flag.Int("fleet-switches", 0, "simulated-member count for the fleet experiment (0 = 64)")
-		fleetWork  = flag.Int("fleet-workers", 0, "shard worker-pool size for the fleet experiment (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		tcli       telemetry.CLI
 	)
 	tcli.BindFlags(flag.CommandLine)
 	flag.Parse()
-	experiments.SchedWorkers = *schedWork
-	experiments.InferWorkers = *inferWork
+	experiments.Workers = *workers
 	experiments.ScaleFlows = *scaleFlows
 	experiments.ScaleShards = *scaleShard
 	experiments.FleetSwitches = *fleetSw
-	experiments.FleetWorkers = *fleetWork
 
 	if _, err := faults.ParseSpec(*faultSpec); err != nil {
 		fmt.Fprintf(os.Stderr, "tangobench: -faults: %v\n", err)
@@ -216,30 +212,15 @@ type expResult struct {
 // identical at any parallelism; the caller drains the channels in order,
 // which keeps the printed output byte-for-byte the same as a serial run.
 func launch(chosen []experiment, runs, parallel int) []chan expResult {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(chosen) {
-		parallel = len(chosen)
-	}
 	done := make([]chan expResult, len(chosen))
 	for i := range chosen {
 		done[i] = make(chan expResult, 1)
 	}
-	next := make(chan int, len(chosen))
-	for i := range chosen {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < parallel; w++ {
-		go func() {
-			for i := range next {
-				start := time.Now()
-				results := chosen[i].run(runs)
-				done[i] <- expResult{results: results, elapsed: time.Since(start)}
-			}
-		}()
-	}
+	go par.For(len(chosen), parallel, func(i int) {
+		start := time.Now()
+		results := chosen[i].run(runs)
+		done[i] <- expResult{results: results, elapsed: time.Since(start)}
+	})
 	return done
 }
 

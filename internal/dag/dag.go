@@ -133,9 +133,6 @@ func (g *Graph[T]) Len() int { return g.live }
 // Payload returns the payload attached to id.
 func (g *Graph[T]) Payload(id NodeID) T { return g.payload[id] }
 
-// SetPayload replaces the payload attached to id.
-func (g *Graph[T]) SetPayload(id NodeID, v T) { g.payload[id] = v }
-
 // Remove marks a node finished and detaches it from the graph, potentially
 // promoting its successors into the independent set. The frontier is
 // maintained incrementally in O(out-degree).
@@ -371,25 +368,4 @@ func (g *Graph[T]) LongestPathLengths() map[NodeID]int {
 		length[n] = best + 1
 	}
 	return length
-}
-
-// WeightedCriticalPath returns, for every live node, the total weight of the
-// heaviest dependency chain starting at that node, where weight(n) is
-// supplied by the caller (e.g. estimated installation latency). Dionysus
-// uses operation counts; Tango's concurrent-dependent extension uses
-// latency estimates from the score database.
-func (g *Graph[T]) WeightedCriticalPath(weight func(NodeID) float64) map[NodeID]float64 {
-	order := g.TopoSort()
-	total := make(map[NodeID]float64, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		best := 0.0
-		for _, s := range g.Successors(n) {
-			if total[s] > best {
-				best = total[s]
-			}
-		}
-		total[n] = best + weight(n)
-	}
-	return total
 }

@@ -164,26 +164,6 @@ func TestLongestPathLengths(t *testing.T) {
 	}
 }
 
-func TestWeightedCriticalPath(t *testing.T) {
-	g := New[float64]()
-	a := g.AddNode(10)
-	b := g.AddNode(1)
-	c := g.AddNode(5)
-	if err := g.AddEdge(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(a, c); err != nil {
-		t.Fatal(err)
-	}
-	w := g.WeightedCriticalPath(func(n NodeID) float64 { return g.Payload(n) })
-	if w[a] != 15 {
-		t.Fatalf("critical path from a = %v, want 15 (10+5)", w[a])
-	}
-	if w[b] != 1 || w[c] != 5 {
-		t.Fatalf("leaf weights = %v, %v", w[b], w[c])
-	}
-}
-
 func TestDrainViaIndependentSets(t *testing.T) {
 	// Simulates the scheduler loop: repeatedly issue the whole independent
 	// set; the graph must drain in exactly (max level + 1) rounds with no

@@ -28,7 +28,7 @@ func Conformance(n int, seed int64, faultSpec string) (*Table, error) {
 		Header: []string{"profile", "true size", "estimate", "err", "policy", "recovered", "outcome"},
 	}
 	specs := conformance.GenerateSpecs(n, seed)
-	results := conformance.Run(specs, conformance.Options{Faults: cfg})
+	results := conformance.Run(specs, conformance.Options{Faults: cfg, Workers: Workers})
 	for _, r := range results {
 		truePolicy, recovered := "-", "-"
 		if r.PolicyChecked || len(r.Spec.Policy.Keys) > 0 {

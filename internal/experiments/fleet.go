@@ -13,18 +13,13 @@ import (
 // switches plus a small real-TCP contingent served through the switchd
 // path, probed and re-inferred over repeated rounds. The fold is
 // bit-identical at any worker count (gated by TestFleetShardedDifferential),
-// so rerunning with -fleet-workers 1 must print the same rows, the rate and
+// so rerunning with -workers 1 must print the same rows, the rate and
 // wall-clock lines aside.
 
 // FleetSwitches overrides the simulated-member count of the Fleet
 // experiment (0 = 64). cmd/tangobench binds -fleet-switches to it; CI uses
 // a reduced count so the smoke artifact stays fast.
 var FleetSwitches int
-
-// FleetWorkers overrides the shard worker-pool size of the Fleet experiment
-// (0 = GOMAXPROCS). cmd/tangobench binds -fleet-workers to it; results are
-// identical at any setting.
-var FleetWorkers int
 
 // fleetTCPMembers is the experiment's real-TCP contingent: in-process
 // switchd servers dialed over loopback alongside the simulated members.
@@ -51,7 +46,7 @@ func Fleet() *Table {
 	defer tcp.Close()
 	res, err := fleet.Run(fleet.Options{
 		Switches: switches,
-		Workers:  FleetWorkers,
+		Workers:  Workers,
 		Rounds:   2,
 		Seed:     1,
 		TCP:      tcp.Fleet,

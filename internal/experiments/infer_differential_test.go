@@ -4,14 +4,14 @@ import "testing"
 
 // TestInferParallelDifferential is the worker-pool determinism gate for the
 // inference experiments: every table that fans per-profile cells across
-// InferWorkers — embedding each profile's SizeResult estimates, census
+// Workers — embedding each profile's SizeResult estimates, census
 // counts, and policy verdicts — must render byte-identical at 1 and 8
 // workers. Each cell owns its seeded switch, engine, and RNG, so any
 // divergence means shared state leaked between cells. CI runs this under
 // the race detector, where the 8-worker pass also shakes out data races.
 func TestInferParallelDifferential(t *testing.T) {
-	old := InferWorkers
-	defer func() { InferWorkers = old }()
+	old := Workers
+	defer func() { Workers = old }()
 
 	type table struct {
 		name string
@@ -23,13 +23,13 @@ func TestInferParallelDifferential(t *testing.T) {
 		{"ReportedVsInferred", ReportedVsInferred},
 		{"Table1", Table1},
 	}
-	// Subtests stay sequential: they all flip the shared InferWorkers knob.
+	// Subtests stay sequential: they all flip the shared Workers knob.
 	for _, tb := range tables {
 		tb := tb
 		t.Run(tb.name, func(t *testing.T) {
-			InferWorkers = 1
+			Workers = 1
 			serial := tb.run().String()
-			InferWorkers = 8
+			Workers = 8
 			parallel := tb.run().String()
 			if serial != parallel {
 				t.Errorf("%s diverges between 1 and 8 workers:\nserial:\n%s\nparallel:\n%s",

@@ -2,58 +2,22 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"tango/internal/core/infer"
 	"tango/internal/core/probe"
+	"tango/internal/par"
 	"tango/internal/switchsim"
 )
 
-// InferWorkers is the worker-pool size the per-profile inference
-// experiments (Table 1, size/policy accuracy, reported-vs-inferred) fan out
-// across — the conformance harness's Options.Workers pattern applied to the
-// evaluation catalog. Every cell owns its switch, engine, and RNG, and the
-// results fold in deterministic profile order, so output is byte-identical
-// at any setting; 0 means GOMAXPROCS, 1 forces the old serial behaviour.
-// Set from tangobench's -infer-workers flag.
-var InferWorkers int
-
-// runCells invokes fn(i) for every cell index in [0, n), fanning out across
-// InferWorkers goroutines. Cells must be independent and write results only
-// to their own index-addressed slot; callers fold the slots in input order
-// afterwards, which keeps tables identical at any worker count.
-func runCells(n int, fn func(int)) {
-	workers := InferWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
+// Workers is the worker-pool size every experiment fans its independent
+// cells out across: per-profile inference cells (Table 1, size/policy
+// accuracy, reported-vs-inferred), conformance specs, the scheduling
+// experiments' per-switch batches and the fleet's members. Every cell owns
+// its switch, engine and RNG and writes only its own index-addressed slot,
+// and results fold in input order, so output is byte-identical at any
+// setting; 0 means GOMAXPROCS, 1 runs serially. Set from tangobench's
+// -workers flag.
+var Workers int
 
 // policyMatrix is the policy sweep of the §7.1 inference evaluation.
 func policyMatrix() []struct {
@@ -123,7 +87,7 @@ func SizeAccuracy() *Table {
 	// One worker-pool cell per (design, policy) profile; each builds its own
 	// seeded switch and engine, and the rows fold back in catalog order.
 	rows := make([][]string, len(cells))
-	runCells(len(cells), func(i int) {
+	par.For(len(cells), Workers, func(i int) {
 		c := cells[i]
 		var opts []switchsim.Option
 		opts = append(opts, switchsim.WithSeed(int64(i)))
@@ -174,7 +138,7 @@ func PolicyAccuracy() *Table {
 	const cache = 100
 	matrix := policyMatrixExtended()
 	rows := make([][]string, len(matrix))
-	runCells(len(matrix), func(i int) {
+	par.For(len(matrix), Workers, func(i int) {
 		pm := matrix[i]
 		sw := switchsim.New(switchsim.TestSwitch(cache, pm.policy), switchsim.WithSeed(int64(i)))
 		e := probe.NewEngine(probe.SimDevice{S: sw})

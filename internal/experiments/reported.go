@@ -6,6 +6,7 @@ import (
 	"tango/internal/core/infer"
 	"tango/internal/core/probe"
 	"tango/internal/openflow"
+	"tango/internal/par"
 	"tango/internal/switchsim"
 )
 
@@ -29,7 +30,7 @@ func ReportedVsInferred() *Table {
 		{switchsim.Switch3(), nil},
 	}
 	rows := make([][]string, len(cases))
-	runCells(len(cases), func(i int) {
+	par.For(len(cases), Workers, func(i int) {
 		c := cases[i]
 		sw := switchsim.New(c.prof, append(c.opts, switchsim.WithSeed(int64(i)))...)
 		// What the switch reports: OFPST_TABLE max_entries for the TCAM.

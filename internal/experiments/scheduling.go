@@ -19,16 +19,9 @@ import (
 	"tango/internal/update"
 )
 
-// SchedWorkers is the worker-pool size the scheduling experiments pass to
-// sched.RunOptions.Workers: 0 (the default) lets the runner use GOMAXPROCS,
-// 1 forces the serial path. Results are identical either way — the runner
-// aggregates deterministically — so this only trades wall-clock time.
-// cmd/tangobench exposes it as -sched-workers.
-var SchedWorkers int
-
 // schedRunOptions returns the experiments' standard run options.
 func schedRunOptions() sched.RunOptions {
-	return sched.RunOptions{Workers: SchedWorkers}
+	return sched.RunOptions{Workers: Workers}
 }
 
 // Table2 reproduces Table 2: per ClassBench file, the flow count and the

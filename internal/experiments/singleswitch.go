@@ -10,6 +10,7 @@ import (
 	"tango/internal/core/probe"
 	"tango/internal/flowtable"
 	"tango/internal/openflow"
+	"tango/internal/par"
 	"tango/internal/switchsim"
 )
 
@@ -35,7 +36,7 @@ func Table1() *Table {
 	}
 	const budget = 6000
 	out := make([][]string, len(rows))
-	runCells(len(rows), func(i int) {
+	par.For(len(rows), Workers, func(i int) {
 		r := rows[i]
 		nTCAM := tcamResidency(r.narrow, false, budget)
 		wTCAM := tcamResidency(r.wide, true, budget)

@@ -8,11 +8,11 @@
 // # Architecture
 //
 // Per-switch state (the probing engine, last inference, probe budget, RTT
-// samples) lives in one member struct owned by exactly one shard worker:
-// members are statically partitioned over a fixed worker pool by index
-// stride, so the hot path takes no global lock — workers touch disjoint
-// members, and cross-member aggregation happens only in the fold, on the
-// caller's goroutine, in member order. Measurement probes stay strictly
+// samples) lives in one member struct that one worker at a time owns: each
+// round hands every member to exactly one worker of the par pool, so the
+// hot path takes no global lock — workers touch disjoint members, and
+// cross-member aggregation happens only in the fold, on the caller's
+// goroutine, in member order. Measurement probes stay strictly
 // serial per switch (the invariant RTT clustering depends on: a queued
 // probe would fold queueing delay into the measured RTT), while installs
 // ride the pipelined async flow-mod channel; concurrency comes from
@@ -38,7 +38,6 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -47,6 +46,7 @@ import (
 	"tango/internal/core/pattern"
 	"tango/internal/core/probe"
 	"tango/internal/ofconn"
+	"tango/internal/par"
 	"tango/internal/simclock"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
@@ -301,12 +301,7 @@ func newRunner(o Options) (*runner, error) {
 	if len(r.members) == 0 {
 		return nil, fmt.Errorf("fleet: no members (Switches=0 and no TCP fleet)")
 	}
-	if r.o.Workers <= 0 {
-		r.o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if r.o.Workers > len(r.members) {
-		r.o.Workers = len(r.members)
-	}
+	r.o.Workers = par.Workers(r.o.Workers, len(r.members))
 	if o.MaxInflight > 0 {
 		r.gate = make(chan struct{}, o.MaxInflight)
 	}
@@ -329,28 +324,10 @@ func (r *runner) initMember(m *member) {
 }
 
 // round executes one inference round for every member, shard-parallel when
-// Workers > 1. Members are strided over workers by index, so assignment —
-// and, per the determinism contract, everything else about the results — is
-// independent of scheduling.
+// Workers > 1. Each member's round touches only that member's state, so
+// which worker runs it never reaches the results.
 func (r *runner) round(n int) {
-	if r.o.Workers <= 1 {
-		for _, m := range r.members {
-			r.runMember(m, n)
-		}
-		return
-	}
-	done := make(chan struct{}, r.o.Workers)
-	for k := 0; k < r.o.Workers; k++ {
-		go func(k int) {
-			for i := k; i < len(r.members); i += r.o.Workers {
-				r.runMember(r.members[i], n)
-			}
-			done <- struct{}{}
-		}(k)
-	}
-	for k := 0; k < r.o.Workers; k++ {
-		<-done
-	}
+	par.For(len(r.members), r.o.Workers, func(i int) { r.runMember(r.members[i], n) })
 }
 
 // runMember is one member's round: budget admission, inference, cost

@@ -76,13 +76,13 @@ func ServeWith(ln net.Listener, sw *switchsim.Switch, opts ServeOptions) error {
 // the fleet service's in-process TCP members need. Construct with
 // NewServer, run Serve on its own goroutine, stop with Shutdown.
 type Server struct {
-	ln   net.Listener
-	sw   *switchsim.Switch
-	lg   *log.Logger
-	tel  serverTelemetry
-	inj  *faults.Injector
-	wg   sync.WaitGroup
-	mu   sync.Mutex
+	ln      net.Listener
+	sw      *switchsim.Switch
+	lg      *log.Logger
+	tel     serverTelemetry
+	inj     *faults.Injector
+	wg      sync.WaitGroup
+	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	closing bool
 }

@@ -8,7 +8,7 @@
 // test enforces): within an epoch, every event a shard processes is a
 // function of per-site state only — the site's switch, clock, RNG, churn
 // driver, and flight track. Cross-site interaction happens exclusively on
-// the harness goroutine between phases, after a WaitGroup barrier, when
+// the harness goroutine between phases, after the par.For barrier, when
 // simclock.Group.Align advances every shard-local clock to the fleet
 // frontier. Control-plane interactions (FlowMod storms from TE diffs and
 // link failures, probe measurements, inference rounds) therefore rendezvous
@@ -19,7 +19,6 @@ package scale
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"tango/internal/conformance"
@@ -28,6 +27,7 @@ import (
 	"tango/internal/flowtable"
 	"tango/internal/openflow"
 	"tango/internal/packet"
+	"tango/internal/par"
 	"tango/internal/simclock"
 	"tango/internal/switchsim"
 	"tango/internal/telemetry"
@@ -236,7 +236,7 @@ type site struct {
 	track    *telemetry.FlightTrack
 	churn    *conformance.ChurnDriver
 	rng      *rand.Rand
-	frame    *packet.Frame
+	frame    *packet.Frame // scratch frame packet.BuildProbeFrame rewrites per send
 	fm       openflow.FlowMod
 	acts     map[uint16][]flowtable.Action
 	ports    map[string]uint16
@@ -259,7 +259,6 @@ type harness struct {
 	siteIdx map[string]int
 	sites   []*site
 	group   *simclock.Group
-	pools   []*framePool
 	rng     *rand.Rand
 
 	pairs    []pairInfo
@@ -329,7 +328,7 @@ func Run(o Options) (*Result, error) {
 	return h.res, nil
 }
 
-// build constructs the topology, sites, clocks, pools, and churn drivers.
+// build constructs the topology, sites, clocks, and churn drivers.
 func (h *harness) build() {
 	h.g = topo.B4()
 	h.names = append([]string(nil), h.g.Nodes()...)
@@ -344,11 +343,6 @@ func (h *harness) build() {
 	h.probeStride = max(1, h.o.EventsPerEpoch/h.o.ProbesPerEpoch)
 
 	h.group = simclock.NewGroup(len(h.names))
-	h.pools = make([]*framePool, h.o.Shards)
-	for k := range h.pools {
-		h.pools[k] = &framePool{}
-	}
-
 	// One fleet-wide churn schedule, partitioned flow-disjoint per site so
 	// every shard steps its own stateful driver.
 	var schedules [][]workload.ChurnEvent
@@ -379,7 +373,7 @@ func (h *harness) build() {
 			rng:   rand.New(rand.NewSource(h.o.Seed*131 + int64(i))),
 			ports: map[string]uint16{},
 			acts:  map[uint16][]flowtable.Action{},
-			frame: h.pools[i%h.o.Shards].Get(),
+			frame: new(packet.Frame),
 		}
 		for pi, nb := range h.g.Neighbors(name) {
 			st.ports[nb] = uint16(pi + 1)
@@ -427,26 +421,10 @@ func (h *harness) buildIngress() {
 
 // runPhase executes fn once per site — shard-parallel when Shards > 1 —
 // then measures clock spread and aligns every site clock to the frontier.
-// The WaitGroup barrier parks all shards before the harness touches any
-// site state or clock.
+// par.For returns only after every shard has parked, before the harness
+// touches any site state or clock.
 func (h *harness) runPhase(fn func(*site)) {
-	if h.o.Shards <= 1 {
-		for _, st := range h.sites {
-			fn(st)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for k := 0; k < h.o.Shards; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				for i := k; i < len(h.sites); i += h.o.Shards {
-					fn(h.sites[i])
-				}
-			}(k)
-		}
-		wg.Wait()
-	}
+	par.For(len(h.sites), h.o.Shards, func(i int) { fn(h.sites[i]) })
 	if lag := h.group.Lag(); lag > h.res.MaxShardLag {
 		h.res.MaxShardLag = lag
 	}
@@ -514,6 +492,11 @@ func (st *site) execOps(h *harness, ops *[]opSpec) {
 	}
 	*ops = (*ops)[:0]
 }
+
+// probeWireLen is the encoded length of a payloadless TCP probe frame
+// (Ethernet 14 + IPv4 20 + TCP 20); SendFrameN wants the wire size for
+// byte counters even though the frame never gets serialized.
+const probeWireLen = 54
 
 // runData processes one epoch of data-plane events for the site: bursty
 // sends over its ingress pairs (80% from the hot subset), RTT probes every

@@ -17,7 +17,7 @@ import "time"
 // timelines (the TestScaleShardedDifferential gate in internal/scale).
 //
 // Group methods themselves are not synchronisation points: the caller must
-// ensure shards are parked (e.g. behind a sync.WaitGroup) before calling
+// ensure shards are parked (e.g. after par.For returns) before calling
 // Frontier, Lag, or Align from the coordinating goroutine. The per-clock
 // cache-line padding on Virtual keeps the shards' free-running Sleep traffic
 // from false-sharing while they run.

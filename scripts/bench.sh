@@ -16,9 +16,9 @@ BENCH=${BENCH:-'Table1|SizeInference|PolicyInference|Figure3b|Figure3c|SchedRun|
 COUNT=${COUNT:-3}
 
 # The switchsim and simclock micro-benchmarks (exact-match lookup, LRU
-# demote churn, padded-vs-unpadded virtual clock reads) ride along with the
-# top-level experiment benchmarks; benchjson accepts the concatenated
-# streams.
+# demote churn, parallel virtual clock reads) ride along with the top-level
+# experiment benchmarks; benchjson accepts the concatenated streams and
+# records each benchmark's package.
 go test -run '^$' -bench "$BENCH" -benchmem -count "$COUNT" . ./internal/switchsim ./internal/simclock |
 	go run ./scripts/benchjson ${BASELINE:+-baseline "$BASELINE"} >"$OUT"
 echo "wrote $OUT"

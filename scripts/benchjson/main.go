@@ -12,8 +12,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -22,6 +24,7 @@ import (
 
 // Benchmark is one benchmark's averaged measurements.
 type Benchmark struct {
+	Pkg     string             `json:"pkg,omitempty"`
 	Name    string             `json:"name"`
 	Count   int                `json:"count"`
 	NsPerOp float64            `json:"ns_per_op"`
@@ -30,7 +33,6 @@ type Benchmark struct {
 
 // Snapshot is the file layout of BENCH_<n>.json.
 type Snapshot struct {
-	Pkg        string      `json:"pkg,omitempty"`
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
@@ -41,15 +43,19 @@ type Snapshot struct {
 // benchLine matches e.g. "BenchmarkTable1-8  3  44002665 ns/op  2.000 worst-err-%".
 var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+(\d+)\s+([\d.eE+]+) ns/op(.*)$`)
 
-func main() {
-	baselinePath := flag.String("baseline", "", "previous snapshot to embed under \"baseline\"")
-	flag.Parse()
-
-	var snap Snapshot
-	order := []string{}
-	sums := map[string]*Benchmark{}
-
-	sc := bufio.NewScanner(os.Stdin)
+// parse reads a `go test -bench` stream, possibly the concatenated output
+// of several packages, and averages each benchmark's repetitions. A
+// benchmark belongs to the package named by the last "pkg:" header before
+// it, so equal names in different packages stay apart.
+func parse(r io.Reader) (Snapshot, error) {
+	type key struct{ pkg, name string }
+	var (
+		snap  Snapshot
+		pkg   string
+		order []key
+		sums  = map[key]*Benchmark{}
+	)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -59,7 +65,7 @@ func main() {
 		case strings.HasPrefix(line, "goarch: "):
 			snap.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			snap.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			snap.CPU = strings.TrimPrefix(line, "cpu: ")
 		}
@@ -71,11 +77,12 @@ func main() {
 		if err != nil {
 			continue
 		}
-		b := sums[m[1]]
+		k := key{pkg, m[1]}
+		b := sums[k]
 		if b == nil {
-			b = &Benchmark{Name: m[1], Metrics: map[string]float64{}}
-			sums[m[1]] = b
-			order = append(order, m[1])
+			b = &Benchmark{Pkg: pkg, Name: m[1], Metrics: map[string]float64{}}
+			sums[k] = b
+			order = append(order, k)
 		}
 		b.Count++
 		b.NsPerOp += ns
@@ -88,23 +95,33 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return Snapshot{}, err
 	}
 	if len(order) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+		return Snapshot{}, errors.New("no benchmark lines on stdin")
 	}
-	for _, name := range order {
-		b := sums[name]
+	for _, k := range order {
+		b := sums[k]
 		b.NsPerOp /= float64(b.Count)
-		for k := range b.Metrics {
-			b.Metrics[k] /= float64(b.Count)
+		for name := range b.Metrics {
+			b.Metrics[name] /= float64(b.Count)
 		}
 		if len(b.Metrics) == 0 {
 			b.Metrics = nil
 		}
 		snap.Benchmarks = append(snap.Benchmarks, *b)
+	}
+	return snap, nil
+}
+
+func main() {
+	baselinePath := flag.String("baseline", "", "previous snapshot to embed under \"baseline\"")
+	flag.Parse()
+
+	snap, err := parse(os.Stdin)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
 	}
 
 	if *baselinePath != "" {
