@@ -1,13 +1,13 @@
 package ofconn
 
 // async.go is the controller's pipelined send path. The synchronous FlowMod
-// pays one conn.Write syscall for the op, another for its barrier, and a
+// pays one conn.Write syscall for the op and its barrier together, and a
 // full round trip before the next op may start; bulk installs (the doubling
 // phase of size probing, probe-rule teardown) serialize thousands of those.
 // The pipelined path instead queues encoded frames to a single writer
 // goroutine that coalesces every immediately available frame into one
 // conn.Write, and lets a bounded window of ops share one trailing barrier:
-// n ops cost a handful of syscalls and one round trip instead of 2n and n.
+// n ops cost a handful of syscalls and one round trip instead of n and n.
 
 import (
 	"sync"

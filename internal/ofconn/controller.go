@@ -1,6 +1,7 @@
 package ofconn
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -187,8 +188,11 @@ func NewControllerOptions(conn net.Conn, opts ControllerOptions) (*Controller, e
 }
 
 func (c *Controller) readLoop() {
+	// Buffered: a header and its body, or several replies that arrive in
+	// one segment, cost one read syscall.
+	r := bufio.NewReader(c.conn)
 	for {
-		msg, err := openflow.ReadMessage(c.conn)
+		msg, err := openflow.ReadMessage(r)
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
@@ -257,11 +261,18 @@ func (c *Controller) unregister(xid uint32) {
 	c.mu.Unlock()
 }
 
-func (c *Controller) send(m openflow.Message) error {
-	if err := openflow.WriteMessage(c.conn, m); err != nil {
+// write puts msgs encoded messages on the wire in one conn.Write; msgs_out
+// counts messages, not writes. A write on a connection closed by Close
+// reports ErrClosed, as register does once the read loop has seen the
+// close, so the error does not depend on which of the two got there first.
+func (c *Controller) write(buf []byte, msgs int) error {
+	if _, err := c.conn.Write(buf); err != nil {
+		if errors.Is(err, net.ErrClosed) {
+			return ErrClosed
+		}
 		return err
 	}
-	c.tel.msgsOut.Add(1)
+	c.tel.msgsOut.Add(int64(msgs))
 	return nil
 }
 
@@ -291,14 +302,15 @@ func (c *Controller) await(xid uint32, ch chan openflow.Message) (openflow.Messa
 }
 
 func (c *Controller) handshake() error {
-	if err := c.send(&openflow.Hello{}); err != nil {
-		return err
-	}
 	xid, ch, err := c.register()
 	if err != nil {
 		return err
 	}
-	if err := c.send(&openflow.FeaturesRequest{Header: openflow.Header{Xid: xid}}); err != nil {
+	// HELLO and FEATURES_REQUEST go out in one write.
+	buf := (&openflow.Hello{}).Marshal(nil)
+	buf = (&openflow.FeaturesRequest{Header: openflow.Header{Xid: xid}}).Marshal(buf)
+	if err := c.write(buf, 2); err != nil {
+		c.unregister(xid)
 		return err
 	}
 	msg, err := c.await(xid, ch)
@@ -326,62 +338,16 @@ func (c *Controller) TelemetryLabel() string {
 
 // FlowMod sends the flow-mod followed by a barrier and waits for the
 // barrier reply, so the operation is confirmed complete. A switch-side
-// rejection surfaces as the *openflow.Error. The flow-mod's XID is
-// assigned by the controller.
+// rejection surfaces as the *openflow.Error, a table-full one as
+// switchsim.ErrTableFull. The flow-mod's XID is assigned by the controller.
 func (c *Controller) FlowMod(fm *openflow.FlowMod) error {
-	if err := c.fence(); err != nil {
-		return err
-	}
-	fmXID, errCh, err := c.register()
-	if err != nil {
-		return err
-	}
-	fm.SetXID(fmXID)
-	barXID, barCh, err := c.register()
-	if err != nil {
-		c.unregister(fmXID)
-		return err
-	}
-	if err := c.send(fm); err != nil {
-		// Both XIDs must be released on every error path: a leaked entry
-		// stays in pending forever and misroutes a late reply that happens
-		// to reuse the XID after wraparound.
-		c.unregister(fmXID)
-		c.unregister(barXID)
-		return err
-	}
-	if err := c.send(&openflow.BarrierRequest{Header: openflow.Header{Xid: barXID}}); err != nil {
-		c.unregister(fmXID)
-		c.unregister(barXID)
-		return err
-	}
-	if _, err := c.await(barXID, barCh); err != nil {
-		// await already unregistered barXID on timeout; unregistering again
-		// is a harmless idempotent delete, and covers the other error paths.
-		c.unregister(fmXID)
-		c.unregister(barXID)
-		return err
-	}
-	// The agent loop writes any error before the barrier reply, so a
-	// non-blocking check is race free.
-	c.unregister(fmXID)
-	select {
-	case msg := <-errCh:
-		if oe, ok := msg.(*openflow.Error); ok {
-			if oe.IsTableFull() {
-				return switchsim.ErrTableFull
-			}
-			return oe
-		}
-		return nil
-	default:
-		return nil
-	}
+	return c.FlowMods([]*openflow.FlowMod{fm})
 }
 
 // FlowMods sends a batch of flow-mods followed by a single barrier — the
 // batching shape real controllers (and the Tango scheduler) use, paying one
-// round trip per batch instead of per op. It returns the first switch-side
+// round trip per batch instead of per op. The whole batch, barrier
+// included, goes out in one conn.Write. It returns the first switch-side
 // rejection, if any; later ops in the batch still execute (OpenFlow has no
 // transactional abort).
 func (c *Controller) FlowMods(fms []*openflow.FlowMod) error {
@@ -389,7 +355,9 @@ func (c *Controller) FlowMods(fms []*openflow.FlowMod) error {
 		return err
 	}
 	// unwind releases every XID registered so far; called on each error
-	// path so no pending entry outlives the batch.
+	// path so no pending entry outlives the batch. A leaked entry would stay
+	// in pending forever and misroute a late reply that reuses the XID
+	// after wraparound.
 	registered := 0
 	unwind := func() {
 		for _, fm := range fms[:registered] {
@@ -397,6 +365,7 @@ func (c *Controller) FlowMods(fms []*openflow.FlowMod) error {
 		}
 	}
 	errChs := make([]chan openflow.Message, len(fms))
+	var buf []byte
 	for i, fm := range fms {
 		xid, ch, err := c.register()
 		if err != nil {
@@ -406,26 +375,28 @@ func (c *Controller) FlowMods(fms []*openflow.FlowMod) error {
 		fm.SetXID(xid)
 		errChs[i] = ch
 		registered++
-		if err := c.send(fm); err != nil {
-			unwind()
-			return err
-		}
+		buf = fm.Marshal(buf)
 	}
 	barXID, barCh, err := c.register()
 	if err != nil {
 		unwind()
 		return err
 	}
-	if err := c.send(&openflow.BarrierRequest{Header: openflow.Header{Xid: barXID}}); err != nil {
+	buf = (&openflow.BarrierRequest{Header: openflow.Header{Xid: barXID}}).Marshal(buf)
+	if err := c.write(buf, len(fms)+1); err != nil {
 		unwind()
 		c.unregister(barXID)
 		return err
 	}
 	if _, err := c.await(barXID, barCh); err != nil {
+		// await already unregistered barXID on timeout; unregistering again
+		// is a harmless idempotent delete, and covers the other error paths.
 		unwind()
 		c.unregister(barXID)
 		return err
 	}
+	// The agent loop writes any error before the barrier reply, so a
+	// non-blocking check is race free.
 	var first error
 	for i, ch := range errChs {
 		c.unregister(fms[i].XID())
@@ -444,35 +415,51 @@ func (c *Controller) FlowMods(fms []*openflow.FlowMod) error {
 	return first
 }
 
+// request is a message the controller sends under an XID it assigns.
+type request interface {
+	openflow.Message
+	SetXID(uint32)
+}
+
+// roundTrip sends m under a fresh XID and awaits the reply to it, returning
+// the wall time from just before the write to the reply's arrival. The XID
+// is released on every error path.
+func (c *Controller) roundTrip(m request) (openflow.Message, time.Duration, error) {
+	// Round trips measure RTT from the send; an unflushed window would let
+	// the writer's bytes land in front of ours, so fence first. The fence
+	// is free when nothing is pipelined.
+	if err := c.fence(); err != nil {
+		return nil, 0, err
+	}
+	xid, ch, err := c.register()
+	if err != nil {
+		return nil, 0, err
+	}
+	m.SetXID(xid)
+	start := time.Now()
+	if err := c.write(m.Marshal(nil), 1); err != nil {
+		c.unregister(xid)
+		return nil, 0, err
+	}
+	msg, err := c.await(xid, ch)
+	if err != nil {
+		return nil, 0, err
+	}
+	return msg, time.Since(start), nil
+}
+
 // SendProbe injects a probe frame via PACKET_OUT and measures the wall-time
 // until the reflected PACKET_IN returns. punted reports whether the switch
 // punted the frame (NO_MATCH) rather than forwarding it.
 func (c *Controller) SendProbe(data []byte, inPort uint16) (rtt time.Duration, punted bool, err error) {
-	// Probes measure RTT from the send; an unflushed window would let the
-	// writer's bytes land in front of ours, so fence first. The fence is
-	// free when nothing is pipelined.
-	if err := c.fence(); err != nil {
-		return 0, false, err
-	}
-	xid, ch, err := c.register()
-	if err != nil {
-		return 0, false, err
-	}
-	out := &openflow.PacketOut{
-		Header:   openflow.Header{Xid: xid},
+	msg, rtt, err := c.roundTrip(&openflow.PacketOut{
 		BufferID: 0xffffffff,
 		InPort:   inPort,
 		Data:     data,
-	}
-	start := time.Now()
-	if err := c.send(out); err != nil {
-		return 0, false, err
-	}
-	msg, err := c.await(xid, ch)
+	})
 	if err != nil {
 		return 0, false, err
 	}
-	rtt = time.Since(start)
 	pin, ok := msg.(*openflow.PacketIn)
 	if !ok {
 		return 0, false, fmt.Errorf("ofconn: probe got %v, want PACKET_IN", msg.Type())
@@ -482,66 +469,35 @@ func (c *Controller) SendProbe(data []byte, inPort uint16) (rtt time.Duration, p
 
 // Echo measures a control-channel round trip.
 func (c *Controller) Echo() (time.Duration, error) {
-	if err := c.fence(); err != nil {
-		return 0, err
-	}
-	xid, ch, err := c.register()
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	if err := c.send(&openflow.EchoRequest{Header: openflow.Header{Xid: xid}, Data: []byte("tango")}); err != nil {
-		return 0, err
-	}
-	if _, err := c.await(xid, ch); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
+	_, rtt, err := c.roundTrip(&openflow.EchoRequest{Data: []byte("tango")})
+	return rtt, err
 }
 
 // TableStats fetches the switch's table statistics.
 func (c *Controller) TableStats() ([]openflow.TableStats, error) {
-	if err := c.fence(); err != nil {
-		return nil, err
-	}
-	xid, ch, err := c.register()
+	sr, err := c.stats(&openflow.StatsRequest{StatsType: openflow.StatsTypeTable})
 	if err != nil {
 		return nil, err
-	}
-	req := &openflow.StatsRequest{Header: openflow.Header{Xid: xid}, StatsType: openflow.StatsTypeTable}
-	if err := c.send(req); err != nil {
-		return nil, err
-	}
-	msg, err := c.await(xid, ch)
-	if err != nil {
-		return nil, err
-	}
-	sr, ok := msg.(*openflow.StatsReply)
-	if !ok {
-		return nil, fmt.Errorf("ofconn: got %v, want STATS_REPLY", msg.Type())
 	}
 	return sr.Tables, nil
 }
 
 // FlowStats fetches flow statistics for all rules.
 func (c *Controller) FlowStats() ([]openflow.FlowStats, error) {
-	if err := c.fence(); err != nil {
-		return nil, err
-	}
-	xid, ch, err := c.register()
-	if err != nil {
-		return nil, err
-	}
-	req := &openflow.StatsRequest{
-		Header:      openflow.Header{Xid: xid},
+	sr, err := c.stats(&openflow.StatsRequest{
 		StatsType:   openflow.StatsTypeFlow,
 		FlowTableID: 0xff,
 		FlowOutPort: openflow.PortNone,
-	}
-	if err := c.send(req); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	msg, err := c.await(xid, ch)
+	return sr.Flows, nil
+}
+
+// stats runs one statistics request.
+func (c *Controller) stats(req *openflow.StatsRequest) (*openflow.StatsReply, error) {
+	msg, _, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +505,7 @@ func (c *Controller) FlowStats() ([]openflow.FlowStats, error) {
 	if !ok {
 		return nil, fmt.Errorf("ofconn: got %v, want STATS_REPLY", msg.Type())
 	}
-	return sr.Flows, nil
+	return sr, nil
 }
 
 // Now returns the wall-clock time; with a TCP device, probing measures real

@@ -75,13 +75,13 @@ func probeAdd(id uint32) *openflow.FlowMod {
 }
 
 // TestFlowModSendFailureReleasesXIDs pins the regression: a failed send must
-// unregister both the flow-mod and barrier XIDs, on every error path. A
-// leaked entry would sit in pending forever and misroute a late reply that
-// reuses the XID.
+// unregister both the flow-mod and barrier XIDs. A leaked entry would sit in
+// pending forever and misroute a late reply that reuses the XID. The
+// flow-mod and its barrier share one write, so that write is the only
+// failure point.
 func TestFlowModSendFailureReleasesXIDs(t *testing.T) {
 	c, fc := dialFlaky(t)
 
-	// Fail the flow-mod write itself.
 	fc.arm(0)
 	if err := c.FlowMod(probeAdd(1)); err == nil {
 		t.Fatal("FlowMod with failing send: want error")
@@ -90,37 +90,62 @@ func TestFlowModSendFailureReleasesXIDs(t *testing.T) {
 		t.Fatalf("flow-mod send failure leaked %d pending XIDs", n)
 	}
 
-	// Let the flow-mod through and fail the barrier write.
+	// One write is all a confirmed flow-mod needs.
 	fc.arm(1)
-	if err := c.FlowMod(probeAdd(2)); err == nil {
-		t.Fatal("FlowMod with failing barrier send: want error")
+	if err := c.FlowMod(probeAdd(2)); err != nil {
+		t.Fatalf("FlowMod with one write allowed: %v", err)
 	}
 	if n := c.pendingLen(); n != 0 {
-		t.Fatalf("barrier send failure leaked %d pending XIDs", n)
+		t.Fatalf("confirmed flow-mod left %d pending XIDs", n)
 	}
 }
 
-// TestFlowModsSendFailureReleasesXIDs covers the batch path: a write failing
-// mid-batch (or at the barrier) must unwind every XID registered so far.
+// TestFlowModsSendFailureReleasesXIDs covers the batch path: when the
+// batch's single write fails, every XID registered for it (each flow-mod's
+// and the barrier's) must be released.
 func TestFlowModsSendFailureReleasesXIDs(t *testing.T) {
 	c, fc := dialFlaky(t)
 	batch := []*openflow.FlowMod{probeAdd(1), probeAdd(2), probeAdd(3)}
 
-	// Fail on the third flow-mod write: two XIDs already registered.
-	fc.arm(2)
+	fc.arm(0)
 	if err := c.FlowMods(batch); err == nil {
 		t.Fatal("FlowMods with failing send: want error")
 	}
 	if n := c.pendingLen(); n != 0 {
-		t.Fatalf("mid-batch send failure leaked %d pending XIDs", n)
+		t.Fatalf("batch send failure leaked %d pending XIDs", n)
 	}
 
-	// Let all flow-mods through and fail the barrier write.
-	fc.arm(3)
-	if err := c.FlowMods(batch); err == nil {
-		t.Fatal("FlowMods with failing barrier send: want error")
+	// The whole batch, barrier included, is one write.
+	fc.arm(1)
+	if err := c.FlowMods(batch); err != nil {
+		t.Fatalf("FlowMods with one write allowed: %v", err)
 	}
 	if n := c.pendingLen(); n != 0 {
-		t.Fatalf("batch barrier send failure leaked %d pending XIDs", n)
+		t.Fatalf("confirmed batch left %d pending XIDs", n)
+	}
+}
+
+// TestRequestSendFailureReleasesXIDs covers the single-reply requests: a
+// probe, an echo and both statistics requests must release their XID when
+// the write fails.
+func TestRequestSendFailureReleasesXIDs(t *testing.T) {
+	c, fc := dialFlaky(t)
+	reqs := []struct {
+		name string
+		do   func() error
+	}{
+		{"SendProbe", func() error { _, _, err := c.SendProbe([]byte("probe"), 1); return err }},
+		{"Echo", func() error { _, err := c.Echo(); return err }},
+		{"TableStats", func() error { _, err := c.TableStats(); return err }},
+		{"FlowStats", func() error { _, err := c.FlowStats(); return err }},
+	}
+	for _, r := range reqs {
+		fc.arm(0)
+		if err := r.do(); err == nil {
+			t.Fatalf("%s with failing send: want error", r.name)
+		}
+		if n := c.pendingLen(); n != 0 {
+			t.Fatalf("%s send failure leaked %d pending XIDs", r.name, n)
+		}
 	}
 }

@@ -12,13 +12,14 @@ cd "$(dirname "$0")/.."
 
 OUT=${OUT:-BENCH_10.json}
 BASELINE=${BASELINE:-BENCH_9.json}
-BENCH=${BENCH:-'Table1|SizeInference|PolicyInference|Figure3b|Figure3c|SchedRun|TangoOrder|TelemetryVecRecord|Adversarial|ClassifyExact|DemoteChurn|ScaleHarness|VirtualNowParallel|FleetSustained'}
+BENCH=${BENCH:-'Table1|SizeInference|PolicyInference|Figure3b|Figure3c|SchedRun|TangoOrder|TelemetryVecRecord|Adversarial|ClassifyExact|DemoteChurn|ScaleHarness|VirtualNowParallel|FleetSustained|ControllerFlowMod|ControllerProbe'}
 COUNT=${COUNT:-3}
 
-# The switchsim and simclock micro-benchmarks (exact-match lookup, LRU
-# demote churn, parallel virtual clock reads) ride along with the top-level
-# experiment benchmarks; benchjson accepts the concatenated streams and
-# records each benchmark's package.
-go test -run '^$' -bench "$BENCH" -benchmem -count "$COUNT" . ./internal/switchsim ./internal/simclock |
+# The switchsim, simclock and ofconn micro-benchmarks (exact-match lookup,
+# LRU demote churn, parallel virtual clock reads, loopback confirmed
+# flow-mod and probe round trips) ride along with the top-level experiment
+# benchmarks; benchjson accepts the concatenated streams and records each
+# benchmark's package.
+go test -run '^$' -bench "$BENCH" -benchmem -count "$COUNT" . ./internal/switchsim ./internal/simclock ./internal/ofconn |
 	go run ./scripts/benchjson ${BASELINE:+-baseline "$BASELINE"} >"$OUT"
 echo "wrote $OUT"
